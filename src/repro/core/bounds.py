@@ -19,6 +19,7 @@ Every lossy class keeps the absolute reconstruction error strictly below
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 #: Biased exponent of 1.0 in IEEE-754 single precision.
@@ -47,6 +48,17 @@ class ErrorBound:
     exponent: int
 
     def __post_init__(self) -> None:
+        # Thresholds are exponent comparisons, so ``b`` must be an integer:
+        # a fractional ``b`` would shift the classes off the quanta and
+        # decode values larger than their inputs.  ``bool`` is an ``int``
+        # subclass but never a meaningful bound.
+        if isinstance(self.exponent, bool) or not isinstance(
+            self.exponent, numbers.Integral
+        ):
+            raise ValueError(
+                f"error-bound exponent must be an integer, got {self.exponent!r}"
+            )
+        object.__setattr__(self, "exponent", int(self.exponent))
         if not 1 <= self.exponent <= BIT16_FRACTION_BITS:
             raise ValueError(
                 f"error-bound exponent must be in [1, {BIT16_FRACTION_BITS}], "

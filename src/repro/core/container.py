@@ -30,6 +30,11 @@ PAYLOAD_NBYTES_LUT = PAYLOAD_BITS_LUT.astype(np.int64) // 8
 _GROUP_RECORD_NBYTES_LUT: Optional[np.ndarray] = None
 
 
+def wire_bits(num_values: int, payload_bits: int) -> int:
+    """Wire-format size in bits: one tag vector per group plus payloads."""
+    return -(-num_values // GROUP_SIZE) * GROUP_TAG_BITS + payload_bits
+
+
 class TruncatedRecordError(EOFError):
     """A stream ends inside a group record; ``group`` is its index."""
 
@@ -228,8 +233,7 @@ class CompressedGradients:
     @property
     def compressed_bits(self) -> int:
         """Exact wire-format size in bits (tags + payloads)."""
-        num_groups = -(-len(self) // GROUP_SIZE)
-        return num_groups * GROUP_TAG_BITS + self.payload_bits
+        return wire_bits(len(self), self.payload_bits)
 
     @property
     def compressed_nbytes(self) -> int:

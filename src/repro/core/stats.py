@@ -8,9 +8,8 @@ from typing import Dict, Iterable, Sequence
 import numpy as np
 
 from .bounds import ErrorBound
-from .codec import classify
-from .container import GROUP_SIZE, GROUP_TAG_BITS
-from .tags import ENCODED_BITS, PAYLOAD_BITS_LUT, TAG_BIT8, TAG_BIT16, TAG_NO_COMPRESS, TAG_ZERO
+from .codec import compressed_nbits, tag_counts
+from .tags import ENCODED_BITS, TAG_BIT8, TAG_BIT16, TAG_NO_COMPRESS, TAG_ZERO
 
 #: Tag order used for reporting, matching Table III's column order
 #: (2-bit, 10-bit, 18-bit, 34-bit encodings).
@@ -54,12 +53,11 @@ def bitwidth_distribution(
     values: np.ndarray, bound: ErrorBound
 ) -> BitwidthDistribution:
     """Classify a gradient vector and report the tag-class fractions."""
-    tags = classify(np.asarray(values, dtype=np.float32).reshape(-1), bound)
-    n = tags.shape[0]
+    counts = tag_counts(values, bound)
+    n = int(counts.sum())
     if n == 0:
         raise ValueError("cannot compute a distribution over zero values")
-    counts = np.bincount(tags, minlength=4).astype(np.float64)  # repro-lint: disable=R1 -- report math, not a gradient payload
-    fractions = {tag: counts[tag] / n for tag in REPORT_TAG_ORDER}
+    fractions = {tag: int(counts[tag]) / n for tag in REPORT_TAG_ORDER}
     return BitwidthDistribution(fractions=fractions, num_values=n)
 
 
@@ -71,14 +69,10 @@ def compression_ratio(values: np.ndarray, bound: ErrorBound) -> float:
     :func:`bitwidth_distribution` raised made the two disagree on the
     same degenerate input.
     """
-    tags = classify(np.asarray(values, dtype=np.float32).reshape(-1), bound)
-    n = tags.shape[0]
+    n = np.size(values)
     if n == 0:
         raise ValueError("cannot compute a compression ratio over zero values")
-    payload_bits = int(PAYLOAD_BITS_LUT[tags].astype(np.int64).sum())
-    groups = -(-n // GROUP_SIZE)
-    total_bits = groups * GROUP_TAG_BITS + payload_bits
-    return (n * 32) / total_bits
+    return (n * 32) / compressed_nbits(values, bound)
 
 
 def average_compression_ratio(

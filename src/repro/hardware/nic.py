@@ -247,11 +247,10 @@ class InceptionnNic:
             and in_nbytes % 4 == 0
             and in_nbytes
         ):
-            from repro.core.codec import classify
+            from repro.core.codec import tag_counts
 
             values = np.frombuffer(packet.payload, dtype=np.float32)
-            tags = classify(values, self.bound)
-            counts = np.bincount(tags, minlength=4)
+            counts = tag_counts(values, self.bound)
             for tag in range(4):
                 if counts[tag]:
                     metrics.counter("tag_class_values", tag=tag).inc(

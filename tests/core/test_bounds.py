@@ -1,5 +1,6 @@
 """Unit tests for error-bound configuration."""
 
+import numpy as np
 import pytest
 
 from repro.core import ErrorBound, PAPER_BOUNDS
@@ -44,6 +45,22 @@ def test_from_bound_rejects_negative():
 def test_exponent_out_of_range_rejected(exp):
     with pytest.raises(ValueError):
         ErrorBound(exp)
+
+
+@pytest.mark.parametrize("exp", [2.5, 10.0, True, False, np.bool_(True), "10"])
+def test_non_integer_exponent_rejected(exp):
+    # A fractional b would misplace the class thresholds (2.5 decoded 0.3
+    # as 0.3536, above the input); bools are ints but never a bound.
+    with pytest.raises(ValueError, match="must be an integer"):
+        ErrorBound(exp)
+
+
+@pytest.mark.parametrize("exp", [np.int8(6), np.int64(10), np.uint16(15)])
+def test_numpy_integer_exponent_accepted_as_int(exp):
+    bound = ErrorBound(exp)
+    assert bound == ErrorBound(int(exp))
+    assert type(bound.exponent) is int
+    assert str(bound) == f"2^-{int(exp)}"
 
 
 def test_bit8_scale_equals_bound():

@@ -86,6 +86,27 @@ def test_inceptionn_profile_matches_direct_codec():
     assert profile.resolved_tos == codec_tos("inceptionn") == 0x28
 
 
+@pytest.mark.parametrize("bound", [2.7, 10.0, True])
+def test_inceptionn_rejects_non_integer_bound_param(bound):
+    # A non-integral bound used to be truncated with int(): 2.7 ran at
+    # 2^-2 while error_bound() reported 0.25.
+    profile = profile_for("inceptionn", bound=bound)
+    with pytest.raises(ValueError, match="must be an integer"):
+        profile.compress(_sample())
+    with pytest.raises(ValueError, match="must be an integer"):
+        get_codec("inceptionn").error_bound(_sample(), bound=bound)
+
+
+def test_inceptionn_accepts_numpy_integer_bound_param():
+    values = _sample()
+    codec = get_codec("inceptionn")
+    np_bound = codec.compress(values, bound=np.int64(8))
+    int_bound = codec.compress(values, bound=8)
+    np.testing.assert_array_equal(np_bound.values, int_bound.values)
+    assert np_bound.payload_nbytes == int_bound.payload_nbytes
+    assert codec.error_bound(values, bound=np.int64(8)) == 2.0**-8
+
+
 def test_compression_ratio_property():
     values = _sample(size=1024)
     result = profile_for("truncation").compress(values)
