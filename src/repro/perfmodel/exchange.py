@@ -41,7 +41,7 @@ from repro.transport.aggregation import (
     validate_agg_site,
 )
 from repro.transport.endpoint import ClusterComm, ClusterConfig
-from repro.transport.wire import measure_stream_ratio
+from repro.transport.wire import check_ratio, measure_stream_ratio
 
 #: Sample size for measuring a model's compression ratio; large enough
 #: for the ratio to be stable to three digits.
@@ -258,6 +258,7 @@ def simulate_wa_exchange(
         stream = inceptionn_profile(bound)
     if stream is not None and gradient_ratio is None:
         gradient_ratio = measure_profile_ratio(stream)
+    check_ratio(gradient_ratio)
     if fidelity == "flow":
         _check_flow_supported(
             tracer,
@@ -449,6 +450,7 @@ def simulate_ring_exchange(
         stream = inceptionn_profile(bound)
     if stream is not None and gradient_ratio is None:
         gradient_ratio = measure_profile_ratio(stream)
+    check_ratio(gradient_ratio)
     if fidelity == "flow":
         _check_flow_supported(
             tracer, loss_rate, retransmit, topology, tenants, prioritize

@@ -14,9 +14,18 @@ cross-flow contention (each uplink and downlink serves exactly one
 flow), so the flow DP reproduces the packet pipeline to floating-point
 noise.  The WA exchange shares the aggregator's links; single-train
 messages arrive in arbitration-key order and stay exact, while
-multi-train gathers interleave trains round-robin in the packet model
-and whole-message FIFO here — the one approximation, bounded by the
-parity suite's pinned tolerance (``tests/perfmodel/test_flow_parity.py``).
+multi-train gathers interleave the workers' trains in the packet
+model and serve whole messages in FIFO order here.  That is the one
+approximation: rounding noise while the shared downlink stays busy, up
+to ~2e-4 relative when small trains leave it idle
+(``tests/perfmodel/test_flow_parity.py``).
+
+Cost: per-train serialization and head times are tabulated once per
+exchange (:func:`train_times`), so a ring step only runs the FIFO
+recurrence over precomputed seconds.  Each element still evaluates the
+same float operations in the same order as the packet kernel, so the
+ring matches it bit for bit and the pinned results stay unchanged
+(``tests/perfmodel/test_flow_pins.py``).
 
 Loss, retransmission and tracing remain packet-mode features; the
 ``fidelity="flow"`` wrappers in :mod:`repro.perfmodel.exchange` reject
@@ -26,7 +35,7 @@ them up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -141,27 +150,62 @@ def split_trains(
     return trains
 
 
+class TrainTimes(NamedTuple):
+    """One train index's per-message stage times over a batch (seconds).
+
+    Built once per exchange from :func:`split_trains` with the exact
+    expressions the packet kernel's ``Link`` evaluates, so a step of
+    the recurrence only adds and compares precomputed seconds.
+    """
+
+    active: np.ndarray
+    wire_ser: np.ndarray
+    wire_head: np.ndarray
+    raw_ser: np.ndarray
+    raw_head: np.ndarray
+
+
+def train_times(
+    nbytes: np.ndarray, wire_payload: np.ndarray, fabric: FlowFabric
+) -> List[TrainTimes]:
+    """Per-train serialization and head times of a batch of messages.
+
+    Wire times use the link rate, raw times the NIC engine rate; a
+    head is the first packet (at most :attr:`FlowFabric.head_cap`
+    bytes).  ``active`` masks zero-packet padding trains.
+    """
+    link, engine = fabric.bandwidth_bps, fabric.engine_bandwidth_bps
+    return [
+        TrainTimes(
+            pkts > 0,
+            wire_b * 8.0 / link,
+            np.minimum(wire_b, fabric.head_cap) * 8.0 / link,
+            raw_b * 8.0 / engine,
+            np.minimum(raw_b, fabric.head_cap) * 8.0 / engine,
+        )
+        for pkts, wire_b, raw_b in split_trains(nbytes, wire_payload, fabric)
+    ]
+
+
 def _traverse(
     enter: np.ndarray,
     free: np.ndarray,
-    nbytes: np.ndarray,
+    serialization: np.ndarray,
     head: np.ndarray,
-    bandwidth_bps: float,
     latency_s: float,
     active: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """One batch of trains over one batch of *distinct* FIFO resources.
 
     The packet kernel's ``Link._reserve`` + ``transmit_cut_through``
-    arithmetic, element-wise: returns ``(head_arrival, delivered,
-    new_free)``.  ``active`` masks padding trains out of the
-    reservation.
+    arithmetic, element-wise, on times in seconds: returns
+    ``(head_arrival, finish)`` and advances ``free`` in place where
+    ``active`` (padding trains reserve nothing).
     """
     start = np.maximum(enter, free)
-    finish = start + nbytes * 8.0 / bandwidth_bps
-    head_arrival = start + head * 8.0 / bandwidth_bps + latency_s
-    delivered = finish + latency_s
-    return head_arrival, delivered, np.where(active, finish, free)
+    finish = start + serialization
+    np.copyto(free, finish, where=active)
+    return start + head + latency_s, finish
 
 
 def _serve_fifo(
@@ -181,74 +225,6 @@ def _serve_fifo(
     )
     new_free = float(starts[-1] + serialization[-1]) if starts.size else free_at
     return starts, new_free
-
-
-def _transfer_distinct(
-    t_send: np.ndarray,
-    trains: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    fabric: FlowFabric,
-    compressed: bool,
-    free_tx: np.ndarray,
-    free_up: np.ndarray,
-    free_down: np.ndarray,
-    free_rx: np.ndarray,
-) -> np.ndarray:
-    """Deliver a batch of messages whose stage resources are all distinct.
-
-    The ``free_*`` arrays are this batch's resource slices (already
-    gathered per message); they are updated in place.  Returns each
-    message's delivery time (last train fully received).
-    """
-    delivered_msg = np.full(t_send.shape, -np.inf)
-    for pkts, wire_b, raw_b, in trains:
-        active = pkts > 0
-        head_w = np.minimum(wire_b, fabric.head_cap)
-        head_r = np.minimum(raw_b, fabric.head_cap)
-        cursor = t_send
-        if compressed:
-            head_arr, _, free_tx[:] = _traverse(
-                cursor,
-                free_tx,
-                raw_b,
-                head_r,
-                fabric.engine_bandwidth_bps,
-                fabric.engine_latency_s,
-                active,
-            )
-            cursor = head_arr
-        head_arr, delivered, free_up[:] = _traverse(
-            cursor,
-            free_up,
-            wire_b,
-            head_w,
-            fabric.bandwidth_bps,
-            fabric.link_latency_s,
-            active,
-        )
-        cursor = head_arr + fabric.switch_delay_s
-        head_arr, delivered, free_down[:] = _traverse(
-            cursor,
-            free_down,
-            wire_b,
-            head_w,
-            fabric.bandwidth_bps,
-            fabric.link_latency_s,
-            active,
-        )
-        if compressed:
-            _, delivered, free_rx[:] = _traverse(
-                head_arr,
-                free_rx,
-                raw_b,
-                head_r,
-                fabric.engine_bandwidth_bps,
-                fabric.engine_latency_s,
-                active,
-            )
-        delivered_msg = np.maximum(
-            delivered_msg, np.where(active, delivered, -np.inf)
-        )
-    return delivered_msg
 
 
 def simulate_ring_exchange_flow(
@@ -288,47 +264,79 @@ def simulate_ring_exchange_flow(
         [s * 4 for s in ring_exchange_sizes(n, nbytes // 4)], dtype=np.int64
     )
     wire_block = wire_payload_nbytes(block, gradient_ratio, compressed)
-    workers = np.arange(n)
-    succ = (workers + 1) % n
-    pred = (workers - 1) % n
-
-    free_up = np.zeros(n)
-    free_down = np.zeros(n)
-    free_tx = np.zeros(n)
-    free_rx = np.zeros(n)
+    # Worker w sends block (w - step + 1) mod n, a rotation: every
+    # per-block table is stored twice end to end, and a step reads the
+    # contiguous window starting at (1 - step) mod n.
+    doubled = [
+        TrainTimes(*(np.tile(a, 2) for a in train))
+        for train in train_times(block, wire_block, fabric)
+    ]
+    sum_bw = profile.sum_bandwidth_bps
+    sum_dt = np.tile(block / sum_bw, 2) if sum_bw > 0 else None
+    # On the star ring only sender w uses the downlink and RX engine of
+    # succ(w), so all four resources are indexed by sender.
+    free_tx, free_up, free_down, free_rx = np.zeros((4, n))
+    pred = (np.arange(n) - 1) % n
     t_ready = np.zeros(n)
     sum_s = 0.0
     update_s = 0.0
-    sum_bw = profile.sum_bandwidth_bps
 
     for _ in range(iterations):
         if include_local_compute and profile.local_compute_s:
             t_ready = t_ready + profile.local_compute_s
         for step in range(1, 2 * n - 1):
-            send_idx = (workers - step + 1) % n
-            sizes = block[send_idx]
-            trains = split_trains(sizes, wire_block[send_idx], fabric)
-            down_slice = free_down[succ]
-            rx_slice = free_rx[succ]
-            delivered = _transfer_distinct(
-                t_ready,
-                trains,
-                fabric,
-                compressed,
-                free_tx,
-                free_up,
-                down_slice,
-                rx_slice,
-            )
-            free_down[succ] = down_slice
-            free_rx[succ] = rx_slice
+            window = slice((1 - step) % n, (1 - step) % n + n)
+            for t, train in enumerate(doubled):
+                active, wire_ser, wire_head, raw_ser, raw_head = (
+                    a[window] for a in train
+                )
+                cursor = t_ready
+                if compressed:
+                    cursor, _ = _traverse(
+                        cursor,
+                        free_tx,
+                        raw_ser,
+                        raw_head,
+                        fabric.engine_latency_s,
+                        active,
+                    )
+                head, _ = _traverse(
+                    cursor,
+                    free_up,
+                    wire_ser,
+                    wire_head,
+                    fabric.link_latency_s,
+                    active,
+                )
+                head, finish = _traverse(
+                    head + fabric.switch_delay_s,
+                    free_down,
+                    wire_ser,
+                    wire_head,
+                    fabric.link_latency_s,
+                    active,
+                )
+                latency = fabric.link_latency_s
+                if compressed:
+                    _, finish = _traverse(
+                        head,
+                        free_rx,
+                        raw_ser,
+                        raw_head,
+                        fabric.engine_latency_s,
+                        active,
+                    )
+                    latency = fabric.engine_latency_s
+                # FIFO finishes never decrease, so a message's last
+                # active train is its delivery; a padding train keeps
+                # the previous train's.
+                done = finish + latency
+                delivered = done if t == 0 else np.where(active, done, delivered)
             t_ready = delivered[pred]
-            if step < n:
-                recv_sizes = block[(workers - step) % n]
-                if sum_bw > 0:
-                    dt = recv_sizes / sum_bw
-                    t_ready = t_ready + dt
-                    sum_s += float(dt[0])
+            if step < n and sum_dt is not None:
+                dt = sum_dt[(-step) % n : (-step) % n + n]
+                t_ready = t_ready + dt
+                sum_s += float(dt[0])
         if profile.update_s:
             update_s += profile.update_s
             t_ready = t_ready + profile.update_s
@@ -386,13 +394,17 @@ def simulate_wa_exchange_flow(
 
     sizes = np.full(p, nbytes, dtype=np.int64)
     wire_g = wire_payload_nbytes(sizes, gradient_ratio, compressed)
-    gather_trains = split_trains(sizes, wire_g, fabric)
-    scatter_trains = split_trains(sizes, sizes, fabric)
+    gather = train_times(sizes, wire_g, fabric)
+    scatter = train_times(sizes, sizes, fabric)
+    # The aggregator's shared downlink, RX engine and uplink serve
+    # every (worker, train) pair in worker-major (arbitration-key) order.
+    down_ser = np.stack([t.wire_ser for t in gather], axis=1).ravel()
+    down_head = np.stack([t.wire_head for t in gather], axis=1).ravel()
+    rx_ser = np.stack([t.raw_ser for t in gather], axis=1).ravel()
+    up_ser = np.stack([t.wire_ser for t in scatter], axis=1).ravel()
+    up_head = np.stack([t.wire_head for t in scatter], axis=1).ravel()
 
-    free_up = np.zeros(p + 1)
-    free_down = np.zeros(p + 1)
-    free_tx = np.zeros(p + 1)
-    free_rx = np.zeros(p + 1)
+    free_tx, free_up, free_down, free_rx = np.zeros((4, p + 1))
     t_workers = np.zeros(p)
     agg_free = 0.0
     sum_s = 0.0
@@ -407,57 +419,40 @@ def simulate_wa_exchange_flow(
         # Distinct stages (tx engine, own uplink) run vectorized; the
         # shared aggregator downlink and rx engine serve whole messages
         # in worker order (the arbitration key order).
-        num_trains = len(gather_trains)
-        arr_down = np.empty((p, num_trains))
-        ser_down = np.empty((p, num_trains))
-        head_down = np.empty((p, num_trains))
-        raw_ser = np.empty((p, num_trains))
-        raw_head = np.empty((p, num_trains))
-        for t, (pkts, wire_b, raw_b) in enumerate(gather_trains):
-            active = pkts > 0
-            head_w = np.minimum(wire_b, fabric.head_cap)
-            head_r = np.minimum(raw_b, fabric.head_cap)
+        arr_down = np.empty((p, len(gather)))
+        for t, train in enumerate(gather):
             cursor = t_workers
             if compressed:
-                head_arr, _, free_tx[:p] = _traverse(
+                cursor, _ = _traverse(
                     cursor,
                     free_tx[:p],
-                    raw_b,
-                    head_r,
-                    fabric.engine_bandwidth_bps,
+                    train.raw_ser,
+                    train.raw_head,
                     fabric.engine_latency_s,
-                    active,
+                    train.active,
                 )
-                cursor = head_arr
-            head_arr, _, free_up[:p] = _traverse(
+            head, _ = _traverse(
                 cursor,
                 free_up[:p],
-                wire_b,
-                head_w,
-                fabric.bandwidth_bps,
+                train.wire_ser,
+                train.wire_head,
                 fabric.link_latency_s,
-                active,
+                train.active,
             )
-            arr_down[:, t] = head_arr + fabric.switch_delay_s
-            ser_down[:, t] = wire_b * 8.0 / fabric.bandwidth_bps
-            head_down[:, t] = head_w * 8.0 / fabric.bandwidth_bps
-            raw_ser[:, t] = raw_b * 8.0 / fabric.engine_bandwidth_bps
-            raw_head[:, t] = head_r * 8.0 / fabric.engine_bandwidth_bps
-        starts, new_free = _serve_fifo(
-            arr_down.ravel(), ser_down.ravel(), float(free_down[p])
+            arr_down[:, t] = head + fabric.switch_delay_s
+        starts, free_down[p] = _serve_fifo(
+            arr_down.ravel(), down_ser, float(free_down[p])
         )
-        free_down[p] = new_free
-        down_head = starts + head_down.ravel() + fabric.link_latency_s
-        down_done = starts + ser_down.ravel() + fabric.link_latency_s
         if compressed:
-            starts, new_free = _serve_fifo(
-                down_head, raw_ser.ravel(), float(free_rx[p])
+            starts, free_rx[p] = _serve_fifo(
+                starts + down_head + fabric.link_latency_s,
+                rx_ser,
+                float(free_rx[p]),
             )
-            free_rx[p] = new_free
-            gathered = starts + raw_ser.ravel() + fabric.engine_latency_s
+            gathered = starts + rx_ser + fabric.engine_latency_s
         else:
-            gathered = down_done
-        delivered_g = gathered.reshape(p, num_trains)[:, -1]
+            gathered = starts + down_ser + fabric.link_latency_s
+        delivered_g = gathered.reshape(p, len(gather))[:, -1]
 
         # -- aggregator: ordered recv, sum, update ----------------------
         t_agg = max(agg_free, float(delivered_g[0]))
@@ -471,40 +466,24 @@ def simulate_wa_exchange_flow(
         # -- scatter: aggregator -> workers (always raw) ----------------
         # All sends spawn at the same instant; the shared uplink grants
         # whole messages in destination order (the key order), exactly.
-        num_trains = len(scatter_trains)
-        ser_up = np.empty((p, num_trains))
-        head_up = np.empty((p, num_trains))
-        for t, (pkts, wire_b, _raw_b) in enumerate(scatter_trains):
-            ser_up[:, t] = wire_b * 8.0 / fabric.bandwidth_bps
-            head_up[:, t] = (
-                np.minimum(wire_b, fabric.head_cap) * 8.0 / fabric.bandwidth_bps
-            )
-        starts, new_free = _serve_fifo(
-            np.full(p * num_trains, t_agg), ser_up.ravel(), float(free_up[p])
+        starts, free_up[p] = _serve_fifo(
+            np.full(up_ser.size, t_agg), up_ser, float(free_up[p])
         )
-        free_up[p] = new_free
         enter_down = (
-            (starts + head_up.ravel() + fabric.link_latency_s)
-            + fabric.switch_delay_s
-        ).reshape(p, num_trains)
-        delivered_s = np.full(p, -np.inf)
-        for t, (pkts, wire_b, _raw_b) in enumerate(scatter_trains):
-            active = pkts > 0
-            head_w = np.minimum(wire_b, fabric.head_cap)
-            _, delivered, free_down[:p] = _traverse(
+            (starts + up_head + fabric.link_latency_s) + fabric.switch_delay_s
+        ).reshape(p, len(scatter))
+        for t, train in enumerate(scatter):
+            _, finish = _traverse(
                 enter_down[:, t],
                 free_down[:p],
-                wire_b,
-                head_w,
-                fabric.bandwidth_bps,
+                train.wire_ser,
+                train.wire_head,
                 fabric.link_latency_s,
-                active,
+                train.active,
             )
-            delivered_s = np.maximum(
-                delivered_s, np.where(active, delivered, -np.inf)
-            )
-        t_workers = delivered_s
-        agg_free = float(delivered_s.max())
+            done = finish + fabric.link_latency_s
+            t_workers = done if t == 0 else np.where(train.active, done, t_workers)
+        agg_free = float(t_workers.max())
 
     sent = 2 * p * nbytes * iterations
     wire_sent = (int(wire_g.sum()) + p * nbytes) * iterations
@@ -524,9 +503,11 @@ def simulate_wa_exchange_flow(
 
 __all__ = [
     "FlowFabric",
+    "TrainTimes",
     "simulate_ring_exchange_flow",
     "simulate_wa_exchange_flow",
     "split_trains",
     "stream_compresses",
+    "train_times",
     "wire_payload_nbytes",
 ]

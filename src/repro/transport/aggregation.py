@@ -56,6 +56,8 @@ from repro.network.reduction import (
 )
 from repro.obs import CAT_ENGINE
 
+from .wire import check_ratio
+
 if TYPE_CHECKING:
     from .endpoint import ClusterComm
 
@@ -258,10 +260,7 @@ class SwitchGather:
             )
         if (array is None) == (nbytes is None):
             raise ValueError("pass exactly one of array= or nbytes=")
-        if ratio is not None and ratio < 1.0:
-            raise ValueError(
-                f"compression ratio must be >= 1 (got {ratio!r})"
-            )
+        check_ratio(ratio)
         if array is not None:
             arr = np.ascontiguousarray(array, dtype=np.float32).reshape(-1)
             result = self.stream.compress(arr)

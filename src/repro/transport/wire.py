@@ -148,6 +148,20 @@ class WireMessage:
         return self.values
 
 
+def check_ratio(ratio: Optional[float]) -> None:
+    """Reject a size-only compression ratio below 1.0 or NaN.
+
+    ``None`` means "not measured" (the uncompressed size) and passes;
+    ``inf`` passes too.  The comparison is written ``not ratio >= 1.0``
+    so that NaN, which fails every comparison, is rejected as well.
+    """
+    if ratio is not None and not ratio >= 1.0:
+        raise ValueError(
+            "compression ratio must be >= 1 "
+            f"(got {ratio!r}); pass None for uncompressed"
+        )
+
+
 def build_wire_message(
     src: int,
     dst: int,
@@ -182,11 +196,7 @@ def build_wire_message(
                 "ratio= only applies to size-only messages; functional "
                 "sends measure their ratio by running the codec"
             )
-        if ratio < 1.0:
-            raise ValueError(
-                "compression ratio must be >= 1 "
-                f"(got {ratio!r}); pass None for uncompressed"
-            )
+        check_ratio(ratio)
     if stream is None:
         stream = RAW_STREAM
     dispatched = (
@@ -289,5 +299,6 @@ __all__ = [
     "WireSegment",
     "account_tx_traversal",
     "build_wire_message",
+    "check_ratio",
     "measure_stream_ratio",
 ]

@@ -36,6 +36,15 @@ class TestSizedRatioValidation:
                 1, nbytes=100, profile=inceptionn_profile(), ratio=0.5
             )
 
+    def test_ratio_nan_rejected(self):
+        # NaN fails every comparison, so a `ratio < 1.0` guard let it
+        # through to a later integer conversion.
+        comm = _comm(profile=inceptionn_profile())
+        with pytest.raises(ValueError, match="compression ratio"):
+            comm.endpoints[0].build_message(
+                1, nbytes=100, profile=inceptionn_profile(), ratio=float("nan")
+            )
+
     def test_ratio_rejected_even_without_engines(self):
         # Validation happens before the engine-dispatch check: a bad
         # ratio is a caller bug regardless of the cluster profile.
