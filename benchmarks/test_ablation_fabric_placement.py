@@ -13,7 +13,7 @@ from conftest import print_header, print_row, run_once
 from repro.network import (
     Network,
     Simulation,
-    TwoTierFabric,
+    build_topology,
     rack_aligned_ring_order,
     rack_interleaved_ring_order,
 )
@@ -22,9 +22,15 @@ MB = 2**20
 BLOCK = 8 * MB  # per-hop block of a 64 MB model over 8 nodes
 
 
+def _two_tier(sim, oversubscription=4.0):
+    return build_topology(
+        f"two-tier:racks=2,hosts=4,oversub={oversubscription:g}", sim, 8
+    )
+
+
 def _ring_exchange_time(order, oversubscription):
     sim = Simulation()
-    fabric = TwoTierFabric(sim, 2, 4, oversubscription=oversubscription)
+    fabric = _two_tier(sim, oversubscription)
     net = Network(sim, fabric, train_packets=880)
     n = len(order)
 
@@ -46,8 +52,7 @@ def _ring_exchange_time(order, oversubscription):
 
 @pytest.fixture(scope="module")
 def times():
-    sim = Simulation()
-    probe = TwoTierFabric(sim, 2, 4)
+    probe = _two_tier(Simulation())
     aligned = rack_aligned_ring_order(probe)
     interleaved = rack_interleaved_ring_order(probe)
     out = {}

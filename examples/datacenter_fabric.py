@@ -12,7 +12,7 @@ Run:  python examples/datacenter_fabric.py
 from repro.network import (
     Network,
     Simulation,
-    TwoTierFabric,
+    build_topology,
     rack_aligned_ring_order,
     rack_interleaved_ring_order,
 )
@@ -21,9 +21,16 @@ MB = 2**20
 BLOCK = 8 * MB
 
 
+def two_tier(sim, oversubscription=4.0):
+    """2 racks of 4 hosts whose uplinks carry 1/oversub of the edge."""
+    return build_topology(
+        f"two-tier:racks=2,hosts=4,oversub={oversubscription:g}", sim, 8
+    )
+
+
 def ring_time(order, oversubscription):
     sim = Simulation()
-    fabric = TwoTierFabric(sim, 2, 4, oversubscription=oversubscription)
+    fabric = two_tier(sim, oversubscription)
     net = Network(sim, fabric, train_packets=880)
     n = len(order)
 
@@ -46,7 +53,7 @@ def ring_time(order, oversubscription):
 def wa_time(oversubscription):
     """Worker-aggregator with the aggregator in rack 0, workers spread."""
     sim = Simulation()
-    fabric = TwoTierFabric(sim, 2, 4, oversubscription=oversubscription)
+    fabric = two_tier(sim, oversubscription)
     net = Network(sim, fabric, train_packets=880)
     aggregator, workers = 0, [1, 2, 3, 4, 5, 6, 7]
     nbytes = 8 * BLOCK
@@ -63,8 +70,7 @@ def wa_time(oversubscription):
 
 
 def main() -> None:
-    sim = Simulation()
-    probe = TwoTierFabric(sim, 2, 4)
+    probe = two_tier(Simulation())
     aligned = rack_aligned_ring_order(probe)
     interleaved = rack_interleaved_ring_order(probe)
 

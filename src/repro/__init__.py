@@ -34,6 +34,9 @@ Quickstart::
     restored = decompress(cg)            # max error < 2^-10
 """
 
+# Importing repro.blas first pins numpy's OpenBLAS to one thread before
+# anything computes: results must not depend on the host's core count.
+from .blas import pin_blas_threads
 from .core import (
     DEFAULT_BOUND,
     ErrorBound,
@@ -45,7 +48,7 @@ from .core import (
     decompress,
     roundtrip,
 )
-from .distributed import ring_exchange, train_distributed
+from .distributed import ring_exchange, run_strategy
 from .dnn import PAPER_MODELS, build_hdc, build_mini_cnn
 from .hardware import CompressionEngine, DecompressionEngine, InceptionnNic
 from .perfmodel import (
@@ -69,7 +72,7 @@ __all__ = [
     "decompress",
     "roundtrip",
     "ring_exchange",
-    "train_distributed",
+    "run_strategy",
     "PAPER_MODELS",
     "build_hdc",
     "build_mini_cnn",

@@ -2,7 +2,10 @@
 
 Adding a rule: write a module in this package with a :class:`Rule`
 subclass, give it the next free ``R<n>`` code, and append it to
-``ALL_RULES``.  The engine, CLI ``--select``, suppression comments, and
+``ALL_RULES``.  Retired codes are never reused: R2 (the boolean
+stream-compression shims, replaced by ``StreamProfile``) and R6 (the
+sized-send API, replaced by ``WireMessage``) policed APIs that no
+longer exist.  The engine, CLI ``--select``, suppression comments, and
 the JSON output pick it up automatically.
 """
 
@@ -14,12 +17,10 @@ from .agg_site import AggregationSiteRule
 from .annotations import AnnotationsRule
 from .base import Rule
 from .bits import BitAccountingRule
-from .deprecated import DeprecatedApiRule
 from .dtype import DtypeDisciplineRule
 from .mutable_defaults import MutableDefaultsRule
 from .ordering import IterationOrderRule
 from .registry_tos import RegistryTosRule
-from .retired import RetiredApiRule
 from .rng import SeededRngRule
 from .strategy_calls import StrategyCallsRule
 from .wallclock import WallClockRule
@@ -27,11 +28,9 @@ from .wallclock import WallClockRule
 #: Every registered rule class, in code order.
 ALL_RULES: Sequence[Type[Rule]] = (
     DtypeDisciplineRule,
-    DeprecatedApiRule,
     RegistryTosRule,
     BitAccountingRule,
     AnnotationsRule,
-    RetiredApiRule,
     StrategyCallsRule,
     WallClockRule,
     SeededRngRule,
@@ -79,12 +78,10 @@ __all__ = [
     "AggregationSiteRule",
     "AnnotationsRule",
     "BitAccountingRule",
-    "DeprecatedApiRule",
     "DtypeDisciplineRule",
     "IterationOrderRule",
     "MutableDefaultsRule",
     "RegistryTosRule",
-    "RetiredApiRule",
     "Rule",
     "SeededRngRule",
     "StrategyCallsRule",

@@ -77,9 +77,11 @@ def _codec_entries(quick: bool) -> List[Dict[str, Any]]:
 
 def _exchange_entries(quick: bool) -> List[Dict[str, Any]]:
     """Packet-vs-flow exchange wall-clock at several scales."""
+    from repro.core import inceptionn_profile
     from repro.perfmodel import simulate_ring_exchange, simulate_wa_exchange
 
     nbytes = 2_000_000
+    stream = inceptionn_profile()
     packet_scales = (4,) if quick else (4, 8)
     flow_scales = (4, 64, 256) if quick else (4, 64, 1024)
     entries = []
@@ -98,7 +100,7 @@ def _exchange_entries(quick: bool) -> List[Dict[str, Any]]:
                     r = simulate(
                         workers,
                         nbytes,
-                        compress_gradients=True,
+                        stream=stream,
                         fidelity=fidelity,
                     )
                     result["total_s"] = r.total_s

@@ -222,14 +222,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
     from repro.transport import ClusterConfig
 
-    # --strategy is the registry-backed selector; --algorithm survives
-    # as the legacy alias for its two original values.
-    name = args.strategy or args.algorithm or "ring"
     try:
-        strategy = get_strategy(name)
+        strategy = get_strategy(args.strategy)
     except ValueError:
         known = ", ".join(available_strategies())
-        raise SystemExit(f"--strategy: unknown strategy {name!r} ({known})")
+        raise SystemExit(
+            f"--strategy: unknown strategy {args.strategy!r} ({known})"
+        )
     options = {
         "sync_period": args.sync_period,
         "max_staleness": args.staleness,
@@ -453,6 +452,7 @@ def _cmd_codecs(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.action == "run":
+        from repro.core import inceptionn_profile
         from repro.obs import Tracer, write_trace
         from repro.perfmodel import simulate_ring_exchange, simulate_wa_exchange
 
@@ -467,7 +467,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             nbytes=int(args.mbytes * 1e6),
             iterations=args.iterations,
             bandwidth_bps=args.gbps * 1e9,
-            compress_gradients=args.compress,
+            stream=inceptionn_profile() if args.compress else None,
             tracer=tracer,
         )
         write_trace(
@@ -658,12 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="simulated-cluster training demo")
     p.add_argument(
-        "--strategy", default=None, metavar="NAME",
+        "--strategy", default="ring", metavar="NAME",
         help="gradient strategy from the registry (see `repro strategies`)",
-    )
-    p.add_argument(
-        "--algorithm", default=None, choices=("ring", "wa"),
-        help="legacy alias for --strategy (ring/wa only)",
     )
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--iterations", type=int, default=40)

@@ -26,15 +26,9 @@ from .cluster import (
     DistributedRunResult,
     RingStrategy,
     WorkerAggregatorStrategy,
-    train_distributed,
 )
-from .async_ps import AsyncPSStrategy, AsyncRunResult, train_async_ps
-from .hierarchy import (
-    GroupLayout,
-    HierarchyStrategy,
-    hierarchical_exchange,
-    train_hierarchical,
-)
+from .async_ps import AsyncPSStrategy
+from .hierarchy import GroupLayout, HierarchyStrategy, hierarchical_exchange
 from .local_sgd import LocalSGDStrategy
 from .stale_async import StaleAsyncStrategy
 from .node import (
@@ -64,14 +58,10 @@ __all__ = [
     "DistributedRunResult",
     "RingStrategy",
     "WorkerAggregatorStrategy",
-    "train_distributed",
     "AsyncPSStrategy",
-    "AsyncRunResult",
-    "train_async_ps",
     "GroupLayout",
     "HierarchyStrategy",
     "hierarchical_exchange",
-    "train_hierarchical",
     "LocalSGDStrategy",
     "StaleAsyncStrategy",
     "ComputeProfile",

@@ -1,34 +1,26 @@
 """End-to-end distributed training runs in simulated time.
 
-``train_distributed`` trains *real* model replicas under either the
-worker-aggregator baseline or the INCEPTIONN ring, over the simulated
-cluster fabric.  Gradient values move through the real codec when
-compression is on, and every phase of the iteration advances the
-virtual clock, so one run yields both the learning curve (accuracy
-claims) and the Table II-style time breakdown (performance claims).
-
-Both algorithms are :class:`~repro.distributed.strategy.GradientStrategy`
-plugins driven by :func:`~repro.distributed.strategy.run_strategy`;
-``train_distributed`` survives as the thin compatibility wrapper.
+The INCEPTIONN ring and the worker-aggregator baseline as
+:class:`~repro.distributed.strategy.GradientStrategy` plugins, plus the
+:class:`DistributedRunResult` every :func:`~repro.distributed.strategy.run_strategy`
+call returns.  A run trains *real* model replicas over the simulated
+cluster fabric: gradient values move through the stream's codec, and
+every phase of the iteration advances the virtual clock, so one run
+yields both the learning curve (accuracy claims) and the Table II-style
+time breakdown (performance claims).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Mapping, Optional
+from typing import Any, Dict, Generator, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core import StreamProfile
-from repro.dnn.data import Dataset
-from repro.dnn.network import Sequential
-from repro.dnn.optim import SGD
 from repro.network import Event
-from repro.obs import Tracer
 from repro.transport.aggregation import AGG_SWITCH, SwitchGather
-from repro.transport.endpoint import ClusterConfig, TransferSummary
+from repro.transport.endpoint import TransferSummary
 
-from .node import ComputeProfile, ZERO_COMPUTE
 from .ring import ring_exchange
 from .strategy import (
     GradientStrategy,
@@ -39,7 +31,6 @@ from .strategy import (
     StrategyUpdate,
     phase_seconds_from_trace,
     register_strategy,
-    run_strategy,
 )
 from .worker_aggregator import aggregator_exchange, worker_exchange
 
@@ -49,7 +40,6 @@ __all__ = [
     "RingStrategy",
     "WorkerAggregatorStrategy",
     "phase_seconds_from_trace",
-    "train_distributed",
 ]
 
 
@@ -201,55 +191,3 @@ class WorkerAggregatorStrategy(GradientStrategy):
         # Keep local optimizer iteration counters aligned with the
         # aggregator's LR schedule.
         return StrategyUpdate(weights=weights, sync_optimizer_iteration=True)
-
-
-def train_distributed(
-    algorithm: str,
-    build_net: Callable[[int], Sequential],
-    make_optimizer: Callable[[], SGD],
-    dataset: Dataset,
-    num_workers: int,
-    iterations: int,
-    batch_size: int,
-    cluster: Optional[ClusterConfig] = None,
-    profile: ComputeProfile = ZERO_COMPUTE,
-    compress_gradients: bool = False,
-    stream: Optional[StreamProfile] = None,
-    eval_every: Optional[int] = None,
-    tracer: Optional[Tracer] = None,
-    seed: int = 0,
-) -> DistributedRunResult:
-    """Train replicas of ``build_net(seed)`` across a simulated cluster.
-
-    ``algorithm`` is ``"wa"`` (worker-aggregator; one extra node hosts
-    the aggregator) or ``"ring"`` (INCEPTIONN, Algorithm 1).  ``stream``
-    selects the codec profile of the gradient traffic (any registered
-    codec — INCEPTIONN, truncation, quantization, ...); the convenience
-    ``compress_gradients`` flag resolves to the cluster's default
-    profile (ToS 0x28) instead.  Either only takes effect when the NIC
-    engines are enabled (a cluster profile).
-    In the WA baseline only the gradient (up) leg can compress — weights
-    are loss-intolerant (paper Fig 4) — while the ring compresses every
-    hop.
-
-    Compatibility wrapper over :func:`repro.distributed.strategy.run_strategy`
-    with the two original algorithm names.
-    """
-    if algorithm not in ("wa", "ring"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return run_strategy(
-        algorithm,
-        build_net=build_net,
-        make_optimizer=make_optimizer,
-        dataset=dataset,
-        num_workers=num_workers,
-        iterations=iterations,
-        batch_size=batch_size,
-        cluster=cluster,
-        profile=profile,
-        compress_gradients=compress_gradients,
-        stream=stream,
-        eval_every=eval_every,
-        tracer=tracer,
-        seed=seed,
-    )

@@ -414,7 +414,6 @@ def run_strategy(
     batch_size: int,
     cluster: Optional[ClusterConfig] = None,
     profile: ComputeProfile = ZERO_COMPUTE,
-    compress_gradients: bool = False,
     stream: Optional[StreamProfile] = None,
     eval_every: Optional[int] = None,
     tracer: Optional[Tracer] = None,
@@ -423,17 +422,17 @@ def run_strategy(
 ) -> "DistributedRunResult":
     """Train replicas of ``build_net(seed)`` under any registered strategy.
 
-    The single entry point behind ``train_distributed``,
-    ``train_hierarchical`` and ``train_async_ps``: builds the cluster,
-    seeds the trainers (collision-free spawn keys), drives one
-    :func:`_worker_process` per worker plus whatever service processes
-    the strategy spawns, and assembles the result — phase breakdown,
-    wire accounting, final weights — exactly once.
+    The one way to train: builds the cluster, seeds the trainers
+    (collision-free spawn keys), drives one :func:`_worker_process` per
+    worker plus whatever service processes the strategy spawns, and
+    assembles the result — phase breakdown, wire accounting, final
+    weights — exactly once.
 
-    ``stream`` selects the codec profile of the gradient traffic;
-    ``compress_gradients`` is the deprecated boolean alias for the
-    cluster's default profile.  ``options`` is the strategy's keyword
-    namespace (``sync_period``, ``staleness_bound``, ``layout``,
+    ``stream`` selects the codec profile of the gradient traffic
+    (``inceptionn_profile(bound)`` is the paper's compressed stream);
+    without a ``cluster`` it also enables the NIC engines.  ``options``
+    is the strategy's keyword namespace (``sync_period``,
+    ``max_staleness``, ``staleness_bound``, ``layout``, ``group_size``,
     ``compute_jitter``, ...).
     """
     from .cluster import DistributedRunResult
@@ -457,8 +456,6 @@ def run_strategy(
             "agg_site='switch' only applies to the worker-aggregator "
             "family"
         )
-    if stream is None and compress_gradients:
-        stream = comm.default_profile
 
     # Identical replicas: every worker builds from the same seed; data
     # streams derive from collision-free spawn keys.

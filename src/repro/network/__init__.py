@@ -19,11 +19,6 @@ from .events import (
     TieBreak,
     flow_hash,
 )
-from .fabric import (
-    TwoTierFabric,
-    rack_aligned_ring_order,
-    rack_interleaved_ring_order,
-)
 from .loss import DeliveryFailure, LossModel, RetransmitPolicy
 from .link import Link
 from .multitier import (
@@ -32,6 +27,8 @@ from .multitier import (
     MultiTierFabric,
     build_topology,
     parse_topology_spec,
+    rack_aligned_ring_order,
+    rack_interleaved_ring_order,
 )
 from .reduction import (
     ReduceInput,
@@ -107,7 +104,6 @@ __all__ = [
     "BackgroundTraffic",
     "TenantSpec",
     "parse_tenants",
-    "TwoTierFabric",
     "rack_aligned_ring_order",
     "rack_interleaved_ring_order",
     "DeliveryFailure",

@@ -30,7 +30,10 @@ Invariants this module maintains:
 :func:`build_topology` is the one string-spec factory the CLI and
 :class:`~repro.transport.endpoint.ClusterConfig` share
 (``"fat-tree:k=4"``, ``"leaf-spine:spines=2,leaves=4,hosts=2"``,
-``"two-tier:racks=2,hosts=2"``, ``"star"``, ``"ring"``).
+``"two-tier:racks=2,hosts=2"``, ``"star"``, ``"ring"``).  A two-tier
+oversubscribed ToR + core fabric (paper Sec. VII-C) is the one-spine
+:class:`LeafSpine`: every host pair has exactly one route, and the
+leaf<->spine ports carry ``oversub`` times less than the hosts below.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .events import Simulation, flow_hash
-from .fabric import TwoTierFabric
 from .link import Link
 from .packet import TOS_DEFAULT
 from .priority import PriorityLink
@@ -309,6 +311,25 @@ class LeafSpine(MultiTierFabric):
         return node // self.hosts_per_leaf
 
 
+def rack_aligned_ring_order(fabric: LeafSpine) -> List[int]:
+    """Node order that keeps ring neighbours rack-local where possible.
+
+    Consecutive ring positions under one leaf (rack) use only host
+    links; only one hop per rack boundary crosses the spine — the
+    natural placement for Algorithm 1 on an oversubscribed fabric.
+    """
+    return list(range(fabric.num_nodes))
+
+
+def rack_interleaved_ring_order(fabric: LeafSpine) -> List[int]:
+    """Adversarial order: every ring hop crosses racks (worst case)."""
+    return [
+        leaf * fabric.hosts_per_leaf + offset
+        for offset in range(fabric.hosts_per_leaf)
+        for leaf in range(fabric.num_leaves)
+    ]
+
+
 def parse_topology_spec(spec: str) -> Tuple[str, Dict[str, float]]:
     """Split ``"kind:key=value,..."`` into ``(kind, params)``."""
     kind, _, rest = spec.strip().partition(":")
@@ -354,8 +375,8 @@ def build_topology(
     ``fat-tree:k=4``          k-ary fat-tree, ``k^3/4`` hosts
     ``leaf-spine:spines=2,``  ``leaves x hosts`` ports, ``spines`` ECMP
     ``leaves=2,hosts=2``      paths between leaves
-    ``two-tier:racks=2,``     oversubscribed ToR + core
-    ``hosts=2,oversub=4``     (:class:`~repro.network.fabric.TwoTierFabric`)
+    ``two-tier:racks=2,``     one-spine leaf-spine whose uplinks run at
+    ``hosts=2,oversub=4``     ``bandwidth * hosts / oversub`` (ToR + core)
     ========================  ==============================================
     """
     kind, params = parse_topology_spec(spec if spec is not None else "star")
@@ -400,14 +421,18 @@ def build_topology(
             switch_delay_s=switch_delay_s,
         )
     elif kind == "two-tier":
-        nodes_per_rack = int(take("hosts", 2))
-        num_racks = int(take("racks", max(2, -(-num_nodes // nodes_per_rack))))
-        topology = TwoTierFabric(
+        hosts_per_rack = int(take("hosts", 2))
+        num_racks = int(take("racks", max(2, -(-num_nodes // hosts_per_rack))))
+        oversub = take("oversub", 4.0)
+        if oversub < 1.0:
+            raise ValueError("oversubscription factor must be >= 1")
+        topology = LeafSpine(
             sim,
-            num_racks=num_racks,
-            nodes_per_rack=nodes_per_rack,
+            num_spines=1,
+            num_leaves=num_racks,
+            hosts_per_leaf=hosts_per_rack,
             bandwidth_bps=bandwidth_bps,
-            oversubscription=take("oversub", 4.0),
+            uplink_bandwidth_bps=bandwidth_bps * hosts_per_rack / oversub,
             link_latency_s=link_latency_s,
             switch_delay_s=switch_delay_s,
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core import ErrorBound
+from repro.core import ErrorBound, inceptionn_profile
 from repro.core.bounds import DEFAULT_BOUND
 from repro.dnn.models import PAPER_MODELS
 
@@ -70,7 +70,7 @@ def estimate_iteration_time(
         iterations=sim_iterations,
         bandwidth_bps=bandwidth_bps,
         profile=profile,
-        compress_gradients=compressed,
+        stream=inceptionn_profile(bound) if compressed else None,
         gradient_ratio=ratio,
         bound=bound,
         include_local_compute=True,

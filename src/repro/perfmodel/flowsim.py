@@ -241,9 +241,8 @@ def simulate_ring_exchange_flow(
 ) -> "ExchangeResult":
     """Flow-level replica of :func:`repro.perfmodel.exchange.simulate_ring_exchange`.
 
-    ``stream`` and ``gradient_ratio`` arrive already resolved (the
-    packet-mode wrapper owns the ``compress_gradients`` convenience flag
-    and the ratio measurement).
+    ``gradient_ratio`` arrives already measured (the packet-mode
+    wrapper owns the ratio measurement).
     """
     from .exchange import ExchangeResult
 

@@ -7,10 +7,8 @@ import pytest
 from repro.analysis.rules.agg_site import AggregationSiteRule
 from repro.analysis.rules.annotations import AnnotationsRule
 from repro.analysis.rules.bits import BitAccountingRule
-from repro.analysis.rules.deprecated import DeprecatedApiRule
 from repro.analysis.rules.dtype import DtypeDisciplineRule
 from repro.analysis.rules.registry_tos import RegistryTosRule
-from repro.analysis.rules.retired import RetiredApiRule
 from repro.analysis.rules.strategy_calls import StrategyCallsRule
 
 
@@ -89,49 +87,19 @@ class TestDtypeDiscipline:
 
 
 class TestDeprecatedApi:
-    def test_flags_compressible_kwarg(self, lint_snippet):
-        findings = lint_snippet(
-            "distributed/x.py",
-            """
-            def go(ep):
-                ep.isend(1, data, compressible=True)
-            """,
-            rules=[DeprecatedApiRule()],
-        )
-        assert codes(findings) == ["R2"]
-        assert "compressible" in findings[0].message
-
-    def test_flags_cluster_config_compression(self, lint_snippet):
-        findings = lint_snippet(
-            "perfmodel/x.py",
-            """
-            config = ClusterConfig(num_nodes=4, compression=True)
-            """,
-            rules=[DeprecatedApiRule()],
-        )
-        assert codes(findings) == ["R2"]
+    """R2 retired with the boolean stream shims it banned (code not
+    reused).  Its negative cases stay: no rule may flag the profile API
+    or the live hardware ``compression`` flags."""
 
     def test_other_compression_kwargs_allowed(self, lint_snippet):
-        # NicTimingModel(compression=...) is a live hardware flag, not
-        # the deprecated shim.
+        # NicTimingModel(compression=...) is a live hardware flag.
         findings = lint_snippet(
             "network/x.py",
             """
+            \"\"\"Engines on every NIC; no invariants beyond the model's.\"\"\"
             nic = NicTimingModel(compression=True)
             nics = uniform_nics(4, compression=False)
             """,
-            rules=[DeprecatedApiRule()],
-        )
-        assert findings == []
-
-    def test_shim_module_is_exempt(self, lint_snippet):
-        findings = lint_snippet(
-            "transport/endpoint.py",
-            """
-            def isend(self, dst, array, compressible=None):
-                return self._send(dst, array, compressible=compressible)
-            """,
-            rules=[DeprecatedApiRule()],
         )
         assert findings == []
 
@@ -139,10 +107,9 @@ class TestDeprecatedApi:
         findings = lint_snippet(
             "distributed/x.py",
             """
-            def go(ep, stream):
+            def go(ep: Endpoint, stream: StreamProfile) -> None:
                 ep.isend(1, data, profile=stream)
             """,
-            rules=[DeprecatedApiRule()],
         )
         assert findings == []
 
@@ -489,53 +456,19 @@ class TestAnnotations:
 
 
 class TestRetiredApi:
-    def test_flags_isend_sized_call(self, lint_snippet):
-        findings = lint_snippet(
-            "distributed/x.py",
-            """
-            def go(ep):
-                ep.isend_sized(1, 1000)
-            """,
-            rules=[RetiredApiRule()],
-        )
-        assert codes(findings) == ["R6"]
-        assert "WireMessage" in findings[0].message
-
-    def test_flags_bare_name_call(self, lint_snippet):
-        findings = lint_snippet(
-            "perfmodel/x.py",
-            """
-            def go(isend_sized):
-                isend_sized(1, 1000)
-            """,
-            rules=[RetiredApiRule()],
-        )
-        assert codes(findings) == ["R6"]
-
-    def test_flags_compression_ratio_keyword(self, lint_snippet):
-        findings = lint_snippet(
-            "perfmodel/x.py",
-            """
-            def go(ep, stream):
-                ep.build_message(1, nbytes=100, compression_ratio=4.0)
-            """,
-            rules=[RetiredApiRule()],
-        )
-        assert codes(findings) == ["R6"]
-        assert "ratio=" in findings[0].message
+    """R6 retired with the sized-send API it banned (code not reused).
+    Its negative cases stay: no rule may flag the WireMessage builder or
+    the positional ``compression_ratio`` statistics helper."""
 
     def test_positional_compression_ratio_function_allowed(self, lint_snippet):
-        # The statistics helper takes positional args; only the retired
-        # keyword form is banned.
         findings = lint_snippet(
             "core/x.py",
             """
             from repro.core import compression_ratio
 
-            def stats(values, bound):
+            def stats(values: np.ndarray, bound: ErrorBound) -> float:
                 return compression_ratio(values, bound)
             """,
-            rules=[RetiredApiRule()],
         )
         assert findings == []
 
@@ -543,11 +476,10 @@ class TestRetiredApi:
         findings = lint_snippet(
             "distributed/x.py",
             """
-            def go(ep, stream):
+            def go(ep: Endpoint, stream: StreamProfile) -> Event:
                 msg = ep.build_message(1, nbytes=1000, profile=stream, ratio=4.0)
                 return ep.isend_message(msg)
             """,
-            rules=[RetiredApiRule()],
         )
         assert findings == []
 

@@ -26,9 +26,7 @@ from repro.distributed import (
     ComputeProfile,
     GroupLayout,
     available_strategies,
-    train_async_ps,
-    train_distributed,
-    train_hierarchical,
+    run_strategy,
 )
 from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
 from repro.transport import ClusterConfig
@@ -134,36 +132,35 @@ def _common(compressed):
     ), stream
 
 
+#: Strategy -> its service nodes and ``run_strategy`` options.
+SETUPS = {
+    "ring": (0, {}),
+    "wa": (1, {}),
+    "hierarchy": (0, {"layout": GroupLayout.even(WORKERS, 2)}),
+    "async_ps": (1, {"max_staleness": 2, "compute_jitter": 0.5}),
+}
+
+
 def _run(strategy, compressed):
     common, stream = _common(compressed)
-    if strategy in ("ring", "wa"):
-        nodes = WORKERS + (1 if strategy == "wa" else 0)
-        return train_distributed(
-            algorithm=strategy,
-            num_workers=WORKERS,
-            iterations=ITERATIONS,
-            cluster=ClusterConfig(num_nodes=nodes, profile=stream),
-            profile=PROFILE,
-            **common,
-        )
-    if strategy == "hierarchy":
-        return train_hierarchical(
-            layout=GroupLayout.even(WORKERS, 2),
-            iterations=ITERATIONS,
-            cluster=ClusterConfig(num_nodes=WORKERS, profile=stream),
-            profile=PROFILE,
-            **common,
-        )
-    assert strategy == "async_ps"
-    return train_async_ps(
+    extra_nodes, options = SETUPS[strategy]
+    return run_strategy(
+        strategy,
         num_workers=WORKERS,
-        iterations_per_worker=ITERATIONS,
-        cluster=ClusterConfig(num_nodes=WORKERS + 1, profile=stream),
+        iterations=ITERATIONS,
+        cluster=ClusterConfig(num_nodes=WORKERS + extra_nodes, profile=stream),
         profile=PROFILE,
-        compute_jitter=0.5,
-        max_staleness=2,
+        options=options,
         **common,
     )
+
+
+def final_loss(strategy, result):
+    """The pinned loss: the last iteration's mean, or for the async
+    server the last completed worker step (its per-iteration means
+    average workers that drift apart)."""
+    losses = result.loss_order if strategy == "async_ps" else result.losses
+    return float(losses[-1])
 
 
 @pytest.mark.parametrize("key", sorted(PINS))
@@ -189,7 +186,7 @@ def test_ported_strategy_matches_pre_refactor_pin(key):
     assert result.virtual_time_s == pytest.approx(
         pin["virtual_time_s"], rel=REL
     )
-    assert float(result.losses[-1]) == pytest.approx(
+    assert final_loss(strategy, result) == pytest.approx(
         pin["final_loss"], rel=REL
     )
 

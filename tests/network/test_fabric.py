@@ -1,24 +1,29 @@
-"""Two-tier oversubscribed fabric tests."""
+"""Two-tier oversubscribed fabric tests (the one-spine ``two-tier:`` spec)."""
 
 import pytest
 
 from repro.network import (
+    LeafSpine,
     Network,
     Simulation,
-    TwoTierFabric,
+    build_topology,
     rack_aligned_ring_order,
     rack_interleaved_ring_order,
 )
 
 
+def _two_tier(sim, num_racks=2, nodes_per_rack=4, oversubscription=4.0):
+    return build_topology(
+        f"two-tier:racks={num_racks},hosts={nodes_per_rack},"
+        f"oversub={oversubscription:g}",
+        sim,
+        num_racks * nodes_per_rack,
+    )
+
+
 def _fabric(num_racks=2, nodes_per_rack=4, oversubscription=4.0):
     sim = Simulation()
-    fabric = TwoTierFabric(
-        sim,
-        num_racks=num_racks,
-        nodes_per_rack=nodes_per_rack,
-        oversubscription=oversubscription,
-    )
+    fabric = _two_tier(sim, num_racks, nodes_per_rack, oversubscription)
     return sim, fabric, Network(sim, fabric)
 
 
@@ -31,9 +36,10 @@ def _deliver(sim, net, src, dst, nbytes=2**20):
 
 def test_rack_membership():
     _, fabric, _ = _fabric()
-    assert fabric.rack_of(0) == 0
-    assert fabric.rack_of(3) == 0
-    assert fabric.rack_of(4) == 1
+    assert isinstance(fabric, LeafSpine) and fabric.num_spines == 1
+    assert fabric.leaf_of(0) == 0
+    assert fabric.leaf_of(3) == 0
+    assert fabric.leaf_of(4) == 1
 
 
 def test_intra_rack_route_has_two_hops():
@@ -43,7 +49,12 @@ def test_intra_rack_route_has_two_hops():
 
 def test_cross_rack_route_has_four_hops():
     _, fabric, _ = _fabric()
-    assert len(fabric.route(0, 5).links) == 4
+    route = fabric.route(0, 5)
+    assert len(route.links) == 4
+    # The leaf<->spine hops run at edge rate * hosts / oversub.
+    edge, up, down, last = (link.bandwidth_bps for link in route.links)
+    assert edge == last == 10e9
+    assert up == down == 10e9 * 4 / 4.0
 
 
 def test_cross_rack_slower_than_intra_rack():
@@ -79,7 +90,7 @@ def test_ring_orders():
     # cross racks.
     def cross_hops(order):
         return sum(
-            fabric.rack_of(order[i]) != fabric.rack_of(order[(i + 1) % 8])
+            fabric.leaf_of(order[i]) != fabric.leaf_of(order[(i + 1) % 8])
             for i in range(8)
         )
 
@@ -93,8 +104,7 @@ def test_aligned_ring_faster_than_interleaved():
 
     def ring_time(order):
         sim = Simulation()
-        fabric = TwoTierFabric(sim, 2, 4, oversubscription=4.0)
-        net = Network(sim, fabric)
+        net = Network(sim, _two_tier(sim))
         n = len(order)
 
         # One full rotation of 8 MB blocks around the ring.
@@ -106,8 +116,7 @@ def test_aligned_ring_faster_than_interleaved():
         sim.run()
         return out["t"]
 
-    sim0 = Simulation()
-    fabric0 = TwoTierFabric(sim0, 2, 4, oversubscription=4.0)
+    fabric0 = _two_tier(Simulation())
     aligned = ring_time(rack_aligned_ring_order(fabric0))
     interleaved = ring_time(rack_interleaved_ring_order(fabric0))
     assert aligned < interleaved
@@ -116,6 +125,6 @@ def test_aligned_ring_faster_than_interleaved():
 def test_validation():
     sim = Simulation()
     with pytest.raises(ValueError):
-        TwoTierFabric(sim, 0, 4)
+        build_topology("two-tier:racks=0,hosts=4", sim, 2)
     with pytest.raises(ValueError):
-        TwoTierFabric(sim, 2, 4, oversubscription=0.5)
+        build_topology("two-tier:racks=2,hosts=4,oversub=0.5", sim, 8)

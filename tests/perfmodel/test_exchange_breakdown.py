@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ErrorBound
+from repro.core import ErrorBound, inceptionn_profile
 from repro.perfmodel import (
     CONFIGURATIONS,
     CostParameters,
@@ -84,11 +84,11 @@ class TestExchangeSimulation:
         ratio = 10.0
         wa_plain = simulate_wa_exchange(4, n).total_s
         wa_comp = simulate_wa_exchange(
-            4, n, compress_gradients=True, gradient_ratio=ratio
+            4, n, stream=inceptionn_profile(), gradient_ratio=ratio
         ).total_s
         ring_plain = simulate_ring_exchange(4, n).total_s
         ring_comp = simulate_ring_exchange(
-            4, n, compress_gradients=True, gradient_ratio=ratio
+            4, n, stream=inceptionn_profile(), gradient_ratio=ratio
         ).total_s
         wa_gain = wa_plain / wa_comp
         ring_gain = ring_plain / ring_comp

@@ -59,6 +59,10 @@ CASES = {
 }
 
 
+def _stream(compress):
+    return inceptionn_profile() if compress else None
+
+
 def _both(simulate, workers, nbytes, **kwargs):
     packet = simulate(workers, nbytes, **kwargs)
     flow = simulate(workers, nbytes, fidelity="flow", **kwargs)
@@ -75,7 +79,7 @@ class TestFlowPacketParity:
             workers,
             2_000_000,
             iterations=2,
-            compress_gradients=compress,
+            stream=_stream(compress),
         )
         assert flow.total_s == pytest.approx(packet.total_s, rel=TOL)
         assert flow.sent_nbytes == packet.sent_nbytes
@@ -88,7 +92,7 @@ class TestFlowPacketParity:
     def test_case_totals_match(self, simulate, case, compress):
         workers, nbytes, kwargs = CASES[case]
         packet, flow = _both(
-            simulate, workers, nbytes, compress_gradients=compress, **kwargs
+            simulate, workers, nbytes, stream=_stream(compress), **kwargs
         )
         assert flow.total_s == pytest.approx(packet.total_s, rel=TOL)
         assert flow.gradient_sum_s == pytest.approx(
@@ -113,7 +117,7 @@ class TestFlowPacketParity:
             workers,
             nbytes,
             train_packets=train_packets,
-            compress_gradients=compress,
+            stream=_stream(compress),
         )
         assert flow.total_s == packet.total_s
         assert flow.sent_nbytes == packet.sent_nbytes
@@ -134,7 +138,7 @@ class TestFlowPacketParity:
             workers,
             nbytes,
             train_packets=train_packets,
-            compress_gradients=compress,
+            stream=_stream(compress),
         )
         assert flow.sent_nbytes == packet.sent_nbytes
         assert flow.wire_payload_nbytes == packet.wire_payload_nbytes
@@ -155,7 +159,7 @@ class TestFlowPacketParity:
             2,
             80_364,
             train_packets=1,
-            compress_gradients=True,
+            stream=inceptionn_profile(),
         )
         assert flow.total_s == pytest.approx(packet.total_s, rel=TOL)
 
@@ -165,16 +169,6 @@ class TestFlowPacketParity:
         assert flow.total_s == pytest.approx(packet.total_s, rel=TOL)
         assert flow.wire_ratio == pytest.approx(packet.wire_ratio, rel=TOL)
 
-    def test_flow_compress_flag_equals_stream(self):
-        flagged = simulate_ring_exchange(
-            4, 2_000_000, compress_gradients=True, fidelity="flow"
-        )
-        streamed = simulate_ring_exchange(
-            4, 2_000_000, stream=inceptionn_profile(), fidelity="flow"
-        )
-        assert flagged.total_s == streamed.total_s
-        assert flagged.wire_payload_nbytes == streamed.wire_payload_nbytes
-
 
 class TestFlowScaling:
     def test_1024_worker_ring_sweep_is_fast(self):
@@ -182,7 +176,7 @@ class TestFlowScaling:
         # completes in seconds, not hours.
         t0 = time.perf_counter()
         result = simulate_ring_exchange(
-            1024, 100_000_000, compress_gradients=True, fidelity="flow"
+            1024, 100_000_000, stream=inceptionn_profile(), fidelity="flow"
         )
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0
@@ -192,7 +186,7 @@ class TestFlowScaling:
     def test_flow_scaling_is_monotonic_in_workers(self):
         totals = [
             simulate_wa_exchange(
-                p, 10_000_000, compress_gradients=True, fidelity="flow"
+                p, 10_000_000, stream=inceptionn_profile(), fidelity="flow"
             ).total_s
             for p in (4, 8, 16)
         ]
@@ -212,7 +206,7 @@ class TestFlowGuards:
             simulate(
                 3,
                 12_000,
-                compress_gradients=True,
+                stream=inceptionn_profile(),
                 gradient_ratio=ratio,
                 fidelity=fidelity,
             )
@@ -223,7 +217,7 @@ class TestFlowGuards:
             simulate,
             3,
             12_000,
-            compress_gradients=True,
+            stream=inceptionn_profile(),
             gradient_ratio=float("inf"),
         )
         assert flow.total_s == pytest.approx(packet.total_s, rel=TOL)

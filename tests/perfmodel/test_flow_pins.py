@@ -28,14 +28,14 @@ PROFILE = ComputeProfile(
 #: Case name -> (workers, nbytes, keyword arguments of the simulators).
 CASES = {
     # 20 MB splits every message into several 4400-packet trains.
-    "multi_train": (3, 20_000_000, dict(compress_gradients=True)),
+    "multi_train": (3, 20_000_000, dict(stream=inceptionn_profile())),
     # Ring blocks of 1464/1464/1460 B are 2/2/1 one-packet trains, so
     # the batch carries a zero-packet padding train.
     "padding_raw": (3, 4388, dict(train_packets=1)),
     "padding_compressed": (
         3,
         4388,
-        dict(train_packets=1, compress_gradients=True),
+        dict(train_packets=1, stream=inceptionn_profile()),
     ),
     # Ring blocks of 166667/166667/166666 floats: unequal per-worker sums.
     "compute": (
@@ -45,7 +45,7 @@ CASES = {
             profile=PROFILE,
             include_local_compute=True,
             iterations=3,
-            compress_gradients=True,
+            stream=inceptionn_profile(),
         ),
     ),
     "alexnet_1024": (

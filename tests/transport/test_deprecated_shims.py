@@ -1,78 +1,48 @@
-"""The deprecated boolean compression API must warn but keep working.
+"""The boolean compression shims are gone; the profile API stays silent.
 
-These shims (``ClusterConfig(compression=...)`` and the ``compressible=``
-send keyword) are the only sanctioned call sites of the old API — the
-R2 lint rule bans them everywhere else in the tree.
+A stream's codec is chosen only by a :class:`repro.core.StreamProfile`
+(the paper's per-socket ToS byte).  The retired boolean keywords must
+fail loudly instead of silently picking a stream.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.core import RAW_STREAM, inceptionn_profile
-from repro.network import TOS_COMPRESS
 from repro.transport import ClusterComm, ClusterConfig
 
 
-def test_cluster_config_compression_warns():
-    with pytest.warns(DeprecationWarning, match="compression=True"):
-        config = ClusterConfig(num_nodes=2, compression=True)
-    # The shim still resolves to the paper's ToS-0x28 profile.
-    profile = config.default_profile()
-    assert profile.codec == "inceptionn"
-    assert profile.resolved_tos == TOS_COMPRESS
-
-
 def test_cluster_config_without_compression_is_silent():
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         config = ClusterConfig(num_nodes=2)
     assert config.default_profile() == RAW_STREAM
 
 
-def test_compressible_kwarg_warns_and_maps_to_default_profile():
-    with pytest.warns(DeprecationWarning):
-        comm = ClusterComm(ClusterConfig(num_nodes=2, compression=True))
-    sent = np.zeros(4000, dtype=np.float32)
-
-    def sender():
-        with pytest.warns(DeprecationWarning, match="compressible"):
-            event = comm.endpoints[0].isend(1, sent, compressible=True)
-        yield event
-
-    def receiver():
-        yield comm.endpoints[1].recv(0)
-
-    comm.sim.process(sender())
-    comm.sim.process(receiver())
-    comm.run()
-    log = comm.transfers[0]
-    assert log.compressed
-    assert log.codec == "inceptionn"
+def test_cluster_config_compression_keyword_is_rejected():
+    with pytest.raises(TypeError):
+        ClusterConfig(num_nodes=2, **{"compression": True})
 
 
-def test_compressible_false_still_warns_but_sends_raw():
+def _isend_with(keywords):
     comm = ClusterComm(ClusterConfig(num_nodes=2))
     sent = np.zeros(100, dtype=np.float32)
+    return comm.endpoints[0].isend(1, sent, **keywords)
 
-    def sender():
-        with pytest.warns(DeprecationWarning, match="compressible"):
-            event = comm.endpoints[0].isend(1, sent, compressible=False)
-        yield event
 
-    def receiver():
-        yield comm.endpoints[1].recv(0)
+def test_compressible_true_keyword_is_rejected():
+    with pytest.raises(TypeError):
+        _isend_with({"compressible": True})
 
-    comm.sim.process(sender())
-    comm.sim.process(receiver())
-    comm.run()
-    assert not comm.transfers[0].compressed
+
+def test_compressible_false_keyword_is_rejected():
+    with pytest.raises(TypeError):
+        _isend_with({"compressible": False})
 
 
 def test_profile_api_does_not_warn():
-    import warnings
-
     stream = inceptionn_profile()
     comm = ClusterComm(ClusterConfig(num_nodes=2, profile=stream))
     sent = np.zeros(100, dtype=np.float32)

@@ -1,10 +1,10 @@
 """Record strategy-parity pins from the current tree.
 
-Run this against the *pre-refactor* implementations (the four
-hand-rolled spawn loops) to capture the constants that
-``tests/distributed/test_strategy_parity.py`` asserts the ported
-registry plugins reproduce: final weights (sha256 of node 0's parameter
-vector, bit-exact), wire bytes (exact), and virtual time (1e-6).
+Run this *before* a change that must not move training results, to
+capture the constants that ``tests/distributed/test_strategy_parity.py``
+asserts: final weights (sha256 of the final parameter vector,
+bit-exact), wire bytes (exact), and virtual time and final loss (1e-6),
+for every strategy in that module's ``SETUPS``, raw and compressed.
 
 Usage: PYTHONPATH=src python tools/record_strategy_pins.py
 """
@@ -13,52 +13,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
-from repro.core import inceptionn_profile
-from repro.distributed import (
-    ComputeProfile,
-    GroupLayout,
-    train_async_ps,
-    train_distributed,
-    train_hierarchical,
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from tests.distributed.test_strategy_parity import (  # noqa: E402
+    SETUPS,
+    _run,
+    final_loss,
 )
-from repro.dnn import LRSchedule, SGD, build_hdc, hdc_dataset
-from repro.transport import ClusterConfig
-
-PROFILE = ComputeProfile(
-    forward_s=1e-4,
-    backward_s=3e-4,
-    gpu_copy_s=5e-5,
-    update_s=2e-4,
-    sum_bandwidth_bps=10.4e9,
-)
-ITERATIONS = 8
-WORKERS = 4
 
 
-def _dataset():
-    return hdc_dataset(train_size=400, test_size=100, seed=0)
-
-
-def _common(compressed: bool):
-    stream = inceptionn_profile() if compressed else None
-    return dict(
-        build_net=lambda s: build_hdc(seed=s),
-        make_optimizer=lambda: SGD(LRSchedule(0.02), momentum=0.9),
-        dataset=_dataset(),
-        batch_size=16,
-        stream=stream,
-        seed=0,
-    ), stream
-
-
-def _pin(result) -> dict:
+def _pin(strategy: str, result) -> dict:
     weights = result.final_weights
     summary = result.transfers
     return {
         "weights_sha256": hashlib.sha256(weights.tobytes()).hexdigest(),
         "weights_sum": float(weights.sum()),
-        "final_loss": float(result.losses[-1]),
+        "final_loss": final_loss(strategy, result),
         "virtual_time_s": result.virtual_time_s,
         "messages": summary.messages,
         "nbytes": summary.nbytes,
@@ -67,50 +40,11 @@ def _pin(result) -> dict:
 
 
 def record() -> dict:
-    pins: dict = {}
-    for mode, compressed in (("raw", False), ("compressed", True)):
-        common, stream = _common(compressed)
-        pins[f"ring_{mode}"] = _pin(
-            train_distributed(
-                algorithm="ring",
-                num_workers=WORKERS,
-                iterations=ITERATIONS,
-                cluster=ClusterConfig(num_nodes=WORKERS, profile=stream),
-                profile=PROFILE,
-                **common,
-            )
-        )
-        pins[f"wa_{mode}"] = _pin(
-            train_distributed(
-                algorithm="wa",
-                num_workers=WORKERS,
-                iterations=ITERATIONS,
-                cluster=ClusterConfig(num_nodes=WORKERS + 1, profile=stream),
-                profile=PROFILE,
-                **common,
-            )
-        )
-        pins[f"hierarchy_{mode}"] = _pin(
-            train_hierarchical(
-                layout=GroupLayout.even(WORKERS, 2),
-                iterations=ITERATIONS,
-                cluster=ClusterConfig(num_nodes=WORKERS, profile=stream),
-                profile=PROFILE,
-                **common,
-            )
-        )
-        pins[f"async_ps_{mode}"] = _pin(
-            train_async_ps(
-                num_workers=WORKERS,
-                iterations_per_worker=ITERATIONS,
-                cluster=ClusterConfig(num_nodes=WORKERS + 1, profile=stream),
-                profile=PROFILE,
-                compute_jitter=0.5,
-                max_staleness=2,
-                **common,
-            )
-        )
-    return pins
+    return {
+        f"{strategy}_{mode}": _pin(strategy, _run(strategy, mode == "compressed"))
+        for mode in ("raw", "compressed")
+        for strategy in SETUPS
+    }
 
 
 if __name__ == "__main__":
